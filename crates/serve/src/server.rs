@@ -497,7 +497,6 @@ pub(crate) fn execute(
             network,
             seed,
             sample_cap,
-            tile,
         } => {
             let spec = arch_by_name(arch).ok_or_else(|| {
                 ServeError::new(ErrorCode::UnknownArch, format!("unknown arch '{arch}'"))
@@ -510,7 +509,6 @@ pub(crate) fn execute(
             })?;
             let mut sim = Simulator::new(*seed);
             sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
-            sim.tile = *tile;
             let result = match &shared.store {
                 Some(store) => {
                     // Open-coded read-through (one store probe, exactly like
@@ -553,7 +551,6 @@ pub(crate) fn execute(
             networks,
             seeds,
             sample_cap,
-            tile,
             stream,
         } => {
             let specs = archs
@@ -574,7 +571,6 @@ pub(crate) fn execute(
                 .collect::<Result<Vec<_>, _>>()?;
             let mut sim = Simulator::new(seeds[0]);
             sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
-            sim.tile = *tile;
             let grid = match (progress.filter(|_| *stream), &shared.store) {
                 // Streamed: the observed engine fires per completed cell;
                 // the emitter turns each into one wire frame. The grid

@@ -106,14 +106,7 @@ fn streamed_sweep_emits_progress_and_an_identical_final_document() {
         frames.push((done, total, cell.to_owned()));
     };
     let streamed = client
-        .sweep_with(
-            &archs,
-            &nets,
-            &seeds,
-            Some(1024),
-            None,
-            Some(&mut on_progress),
-        )
+        .sweep_with(&archs, &nets, &seeds, Some(1024), Some(&mut on_progress))
         .expect("streamed sweep");
     assert_eq!(
         streamed.to_string(),
@@ -131,12 +124,40 @@ fn streamed_sweep_emits_progress_and_an_identical_final_document() {
         assert!(archs.contains(&parts[0]), "{cell}");
         assert_eq!(parts[1], "dgcnn", "{cell}");
     }
+    server.shutdown();
+}
 
-    // The tile knob changes scheduling grain, never bytes.
-    let tiled = client
-        .sweep_with(&archs, &nets, &seeds, Some(1024), Some(7), None)
-        .expect("tiled sweep");
-    assert_eq!(tiled.to_string(), plain.to_string());
+#[test]
+fn tile_key_is_ignored_like_any_unknown_key() {
+    // Older clients may still send the retired `tile` scheduling hint. The
+    // server ignores it, so the raw reply line — envelope included, with
+    // the trace id pinned by a propagated context — must not change.
+    let server = default_server();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = |line: &str| {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut out = String::new();
+        reader.read_line(&mut out).unwrap();
+        out
+    };
+    let envelope = "\"id\":1,\"trace\":{\"trace_id\":\"pin\"}";
+    for params in [
+        "\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\"seed\":2,\
+         \"sample_cap\":1024",
+        "\"kind\":\"sweep\",\"archs\":[\"bitfusion\",\"sibia\"],\"networks\":[\"dgcnn\"],\
+         \"seeds\":[1,2],\"sample_cap\":1024",
+    ] {
+        let plain = reply(&format!("{{{envelope},{params}}}"));
+        assert!(plain.contains("\"ok\":true"), "{plain}");
+        let hinted = reply(&format!("{{{envelope},{params},\"tile\":7}}"));
+        assert_eq!(hinted, plain, "\"tile\" must not change a reply byte");
+    }
     server.shutdown();
 }
 

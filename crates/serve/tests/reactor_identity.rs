@@ -122,14 +122,7 @@ fn streamed_sweep_on_the_reactor_front_matches_blocking() {
         assert_eq!(cell.split('/').count(), 3, "{cell}");
     };
     let streamed = via_reactor
-        .sweep_with(
-            &archs,
-            &nets,
-            &seeds,
-            Some(512),
-            None,
-            Some(&mut on_progress),
-        )
+        .sweep_with(&archs, &nets, &seeds, Some(512), Some(&mut on_progress))
         .expect("reactor streamed sweep");
     assert_eq!(
         streamed.to_string(),
@@ -141,13 +134,41 @@ fn streamed_sweep_on_the_reactor_front_matches_blocking() {
         "one progress frame per cell on the reactor front"
     );
 
-    // Tile granularity is invisible in bytes on this front too.
-    let tiled = via_reactor
-        .sweep_with(&archs, &nets, &seeds, Some(512), Some(7), None)
-        .expect("reactor tiled sweep");
-    assert_eq!(tiled.to_string(), plain.to_string());
-
     blocking.shutdown();
+    reactor.shutdown();
+}
+
+#[test]
+fn tile_key_is_ignored_on_the_reactor_front() {
+    // The reactor front parses with the same grammar: a retired `tile`
+    // hint is an unknown key, so the raw reply line — envelope included,
+    // with the trace id pinned by a propagated context — must not change.
+    let reactor = small_server(true);
+    let stream = std::net::TcpStream::connect(reactor.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = |line: &str| {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut out = String::new();
+        reader.read_line(&mut out).unwrap();
+        out
+    };
+    let envelope = "\"id\":1,\"trace\":{\"trace_id\":\"pin\"}";
+    for params in [
+        "\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\"seed\":2,\
+         \"sample_cap\":512",
+        "\"kind\":\"sweep\",\"archs\":[\"bitfusion\",\"sibia\"],\"networks\":[\"dgcnn\"],\
+         \"seeds\":[1,2],\"sample_cap\":512",
+    ] {
+        let plain = reply(&format!("{{{envelope},{params}}}"));
+        assert!(plain.contains("\"ok\":true"), "{plain}");
+        let hinted = reply(&format!("{{{envelope},{params},\"tile\":7}}"));
+        assert_eq!(hinted, plain, "\"tile\" must not change a reply byte");
+    }
     reactor.shutdown();
 }
 

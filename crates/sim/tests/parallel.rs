@@ -187,3 +187,48 @@ fn layer_order_does_not_change_layer_tensors() {
         assert_eq!(alone, whole.layers[i], "layer {i}");
     }
 }
+
+#[test]
+fn grid_observer_sees_every_cell_and_the_store_round_trips() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let sim = small_sim();
+    let archs = archs();
+    let nets = nets();
+    let seeds = [3u64];
+    let dir = std::env::temp_dir().join(format!("sibia-observed-grid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = sibia_store::Store::open(&dir).unwrap();
+    let observed_run = || {
+        let seen = AtomicUsize::new(0);
+        let grid = ParallelEngine::with_threads(3).simulate_grid_observed(
+            &sim,
+            &archs,
+            &nets,
+            &seeds,
+            &DecompCache::new(),
+            Some(&store),
+            &|_cell| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        (grid, seen.into_inner())
+    };
+
+    // Cold: every cell simulates and writes back; the observer fires once
+    // per cell and the grid matches an unobserved, store-less run.
+    let (cold, seen) = observed_run();
+    assert_eq!(seen, archs.len() * nets.len());
+    let plain = ParallelEngine::with_threads(2).simulate_grid(&sim, &archs, &nets, &seeds);
+    assert_eq!(cold, plain);
+    let puts = store.stats().puts;
+    assert_eq!(puts, cold.cells().len() as u64);
+
+    // Warm: every cell is a store hit, the observer still fires once per
+    // cell, and not a byte changes.
+    let (warm, seen) = observed_run();
+    assert_eq!(seen, archs.len() * nets.len());
+    assert_eq!(store.stats().puts, puts, "warm run writes nothing back");
+    assert_eq!(warm, cold);
+    let _ = std::fs::remove_dir_all(&dir);
+}
