@@ -74,18 +74,6 @@ impl SynthRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f32` in `[0, 1)` (24 mantissa bits).
-    #[inline]
-    pub fn unit_f32(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-
-    /// Uniform `f32` in `[range.start, range.end)`.
-    #[inline]
-    pub fn gen_range(&mut self, range: core::ops::Range<f32>) -> f32 {
-        range.start + self.unit_f32() * (range.end - range.start)
-    }
-
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
@@ -132,8 +120,6 @@ mod tests {
         for _ in 0..10_000 {
             let f = r.unit_f64();
             assert!((0.0..1.0).contains(&f));
-            let g = r.unit_f32();
-            assert!((0.0..1.0).contains(&g));
         }
     }
 

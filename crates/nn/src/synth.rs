@@ -14,7 +14,12 @@
 //!   concentrated near zero, for the probability×value matmuls of
 //!   transformer blocks.
 //!
-//! All generation is seeded and deterministic.
+//! All generation is seeded and deterministic. Normals come from a
+//! 256-layer Ziggurat (one 64-bit draw per value on the fast path), and the
+//! rare outliers are placed by geometric gaps (one draw per outlier, not
+//! one per value).
+
+use std::sync::OnceLock;
 
 use sibia_sbr::Precision;
 use sibia_tensor::{QuantTensor, Shape};
@@ -22,6 +27,15 @@ use sibia_tensor::{QuantTensor, Shape};
 use crate::activation::Activation;
 use crate::layer::Layer;
 use crate::rng::SynthRng;
+
+/// Version of the synthetic stream. It changes whenever synthesis draws a
+/// different code for some `(seed, layer)`, even when the distribution is
+/// the same, and it is part of every stored result's key, so a store or a
+/// peer never serves numbers drawn by another sampler.
+///
+/// * 1 — Box–Muller normals; one Bernoulli draw per value for outliers.
+/// * 2 — Ziggurat normals; geometric gaps between outliers.
+pub const SYNTH_VERSION: u32 = 2;
 
 /// Statistical profile of a layer's input tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -158,6 +172,29 @@ fn zero_smallest_codes(codes: &mut [i32], want: usize) {
     }
 }
 
+/// The indices of `keys` in ascending key order, equal keys in index order:
+/// exactly the permutation a stable `sort_by_key` produces, by counting
+/// rather than comparing. Keys are block sums of quantized magnitudes
+/// (at most four times the precision's symmetric maximum), so the count
+/// table stays small.
+fn stable_counting_order(keys: &[usize]) -> Vec<usize> {
+    let max = keys.iter().copied().max().unwrap_or(0);
+    // `start[k]` becomes the first output slot of key `k`.
+    let mut start = vec![0usize; max + 2];
+    for &k in keys {
+        start[k + 1] += 1;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut order = vec![0usize; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        order[start[k]] = i;
+        start[k] += 1;
+    }
+    order
+}
+
 impl SynthSource {
     /// Creates a source with a fixed seed.
     pub fn new(seed: u64) -> Self {
@@ -178,11 +215,41 @@ impl SynthSource {
         }
     }
 
-    /// Samples a standard-normal value (Box–Muller).
+    /// Samples a standard-normal value (Marsaglia–Tsang Ziggurat). One
+    /// 64-bit draw picks a layer (low 8 bits) and a signed uniform (high 53
+    /// bits); about 99 % of draws land inside their layer's rectangle and
+    /// return at once. The rest go through the exact wedge test, or, from
+    /// the base layer, the exact tail sampler.
     fn normal(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        let zig = ziggurat();
+        loop {
+            let bits = self.rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+            let x = u * zig.x[i];
+            if x.abs() < zig.x[i + 1] {
+                return x as f32;
+            }
+            if i == 0 {
+                return self.normal_tail(u < 0.0) as f32;
+            }
+            let y = zig.f[i + 1] + (zig.f[i] - zig.f[i + 1]) * self.rng.unit_f64();
+            if y < (-0.5 * x * x).exp() {
+                return x as f32;
+            }
+        }
+    }
+
+    /// A normal value beyond the base layer's edge `ZIG_R` (Marsaglia's
+    /// tail method), with the given sign.
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            let x = -(1.0 - self.rng.unit_f64()).ln() / ZIG_R;
+            let y = -(1.0 - self.rng.unit_f64()).ln();
+            if 2.0 * y > x * x {
+                return if negative { -(ZIG_R + x) } else { ZIG_R + x };
+            }
+        }
     }
 
     /// Generates quantized weights for `layer`, sampling at most `cap`
@@ -192,10 +259,11 @@ impl SynthSource {
     pub fn weights(&mut self, layer: &Layer, cap: usize) -> QuantTensor {
         let n = layer.kind().weight_len().min(cap.max(1));
         let gain = weight_outlier_gain(layer.weight_precision());
+        let mut outliers = OutlierGaps::new(WEIGHT_OUTLIER_P, &mut self.rng);
         let mut data: Vec<f32> = (0..n)
             .map(|_| {
                 let w = self.normal();
-                if self.rng.gen_bool(WEIGHT_OUTLIER_P) {
+                if outliers.next(&mut self.rng) {
                     w * gain
                 } else {
                     w
@@ -208,16 +276,12 @@ impl SynthSource {
         if let Some(first) = data.first_mut() {
             *first = 4.0 * gain;
         }
-        let qt = QuantTensor::quantize(&data, Shape::new(&[n]), layer.weight_precision());
+        let mut qt = QuantTensor::quantize(&data, Shape::new(&[n]), layer.weight_precision());
         // Ensure the exact-zero mass trained weights carry: zero the
         // smallest-magnitude codes up to the target fraction.
-        let mut codes = qt.codes().clone().into_vec();
         let want = (WEIGHT_ZERO_FRACTION * n as f64) as usize;
-        zero_smallest_codes(&mut codes, want);
-        QuantTensor::from_codes(
-            sibia_tensor::Tensor::from_vec(codes, Shape::new(&[n])),
-            *qt.quantizer(),
-        )
+        qt.edit_codes(|codes| zero_smallest_codes(codes, want));
+        qt
     }
 
     /// Generates quantized input activations for `layer` according to its
@@ -243,15 +307,15 @@ impl SynthSource {
             ),
             InputProfile::AttentionProb => self.attention_prob_values(n),
         };
-        let qt = QuantTensor::quantize(&data, Shape::new(&[n]), layer.input_precision());
-        match profile {
-            // Attention probabilities keep their natural (softmax) zero
-            // structure.
-            InputProfile::AttentionProb => qt,
-            InputProfile::PostActivation => {
-                self.calibrate_sparsity(qt, layer.input_sparsity(), layer.activation())
-            }
+        let mut qt = QuantTensor::quantize(&data, Shape::new(&[n]), layer.input_precision());
+        // Attention probabilities keep their natural (softmax) zero
+        // structure.
+        if profile == InputProfile::PostActivation {
+            qt.edit_codes(|codes| {
+                self.calibrate_sparsity(codes, layer.input_sparsity(), layer.activation())
+            });
         }
+        qt
     }
 
     /// Adjusts quantized codes toward the paper's reported full-bit-width
@@ -261,18 +325,11 @@ impl SynthSource {
     /// a shortfall is filled by zeroing the smallest-magnitude codes.
     /// Calibration keeps the near-zero-dominated magnitude profile that
     /// drives slice sparsity.
-    fn calibrate_sparsity(
-        &mut self,
-        qt: QuantTensor,
-        target: f64,
-        activation: Activation,
-    ) -> QuantTensor {
-        let quantizer = *qt.quantizer();
-        let mut codes = qt.codes().clone().into_vec();
+    fn calibrate_sparsity(&mut self, codes: &mut [i32], target: f64, activation: Activation) {
         let n = codes.len();
         let want = (target * n as f64).round() as usize;
         let count_zeros = |c: &[i32]| c.iter().filter(|&&v| v == 0).count();
-        let cur = count_zeros(&codes);
+        let cur = count_zeros(codes);
         let nonneg = activation.zeroes_negatives();
         // Calibration works on blocks of four adjacent elements to preserve
         // the spatial clustering of zero regions (whole zero tokens /
@@ -317,30 +374,22 @@ impl SynthSource {
         } else if cur < want {
             // Zero out whole blocks, smallest block magnitude first.
             let mut need = want - cur;
-            let mut blocks: Vec<usize> = (0..n.div_ceil(4)).collect();
-            blocks.sort_by_key(|&b| {
-                codes[b * 4..(b * 4 + 4).min(n)]
-                    .iter()
-                    .map(|&v| u64::from(v.unsigned_abs()))
-                    .sum::<u64>()
-            });
-            for b in blocks {
+            let sums: Vec<usize> = codes
+                .chunks(4)
+                .map(|b| b.iter().map(|&v| v.unsigned_abs() as usize).sum())
+                .collect();
+            for b in stable_counting_order(&sums) {
                 if need == 0 {
                     break;
                 }
-                #[allow(clippy::needless_range_loop)] // index spans a block boundary
-                for i in b * 4..(b * 4 + 4).min(n) {
-                    if codes[i] != 0 && need > 0 {
-                        codes[i] = 0;
+                for c in &mut codes[b * 4..(b * 4 + 4).min(n)] {
+                    if *c != 0 && need > 0 {
+                        *c = 0;
                         need -= 1;
                     }
                 }
             }
         }
-        QuantTensor::from_codes(
-            sibia_tensor::Tensor::from_vec(codes, Shape::new(&[n])),
-            quantizer,
-        )
     }
 
     /// Raw (unquantized) post-activation values.
@@ -371,6 +420,7 @@ impl SynthSource {
         const BLOCK: usize = 4;
         const RHO: f32 = 0.85;
         let indep = (1.0 - RHO * RHO).sqrt();
+        let mut outliers = OutlierGaps::new(ACT_OUTLIER_P, &mut self.rng);
         let mut out = Vec::with_capacity(n);
         match activation {
             Activation::Relu => {
@@ -382,7 +432,7 @@ impl SynthSource {
                     let b = self.normal();
                     for _ in 0..BLOCK.min(n - out.len()) {
                         let mut x = mu + RHO * b + indep * self.normal();
-                        if self.rng.gen_bool(ACT_OUTLIER_P) {
+                        if outliers.next(&mut self.rng) {
                             x *= outlier_gain;
                         }
                         out.push(Activation::Relu.apply(x));
@@ -405,7 +455,7 @@ impl SynthSource {
                             out.push(0.0);
                         } else {
                             let mut x = RHO * b + indep * self.normal();
-                            if self.rng.gen_bool(ACT_OUTLIER_P) {
+                            if outliers.next(&mut self.rng) {
                                 x *= outlier_gain;
                             }
                             out.push(act.apply(x));
@@ -448,6 +498,78 @@ impl SynthSource {
     /// Quantizes ad-hoc real data at a precision.
     pub fn quantize(&self, data: &[f32], precision: Precision) -> QuantTensor {
         QuantTensor::quantize(data, Shape::new(&[data.len()]), precision)
+    }
+}
+
+/// Right edge of the Ziggurat's base rectangle: where the normal tail
+/// begins (Marsaglia & Tsang 2000, 256 layers).
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// Area of every Ziggurat layer under the unnormalized density
+/// `exp(-x²/2)`, base layer including its tail.
+const ZIG_V: f64 = 4.928_673_233_99e-3;
+
+/// Layer edges of the 256-layer Ziggurat: `x[i]` is the width of layer `i`
+/// (`x[0] = V / f(R)` for the base layer, `x[1] = R`, falling to
+/// `x[256] = 0`), and `f[i] = exp(-x[i]²/2)` the density at that edge.
+struct Ziggurat {
+    x: [f64; 257],
+    f: [f64; 257],
+}
+
+/// The Ziggurat tables, built once on first use.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let density = |x: f64| (-0.5 * x * x).exp();
+        let mut x = [0.0; 257];
+        x[0] = ZIG_V / density(ZIG_R);
+        x[1] = ZIG_R;
+        // Each layer has area V: x[i] (f(x[i+1]) - f(x[i])) = V.
+        for i in 2..256 {
+            x[i] = (-2.0 * (ZIG_V / x[i - 1] + density(x[i - 1])).ln()).sqrt();
+        }
+        Ziggurat {
+            x,
+            f: x.map(density),
+        }
+    })
+}
+
+/// Places outliers in a stream of drawn values. The gap before the next
+/// outlier is geometric, `⌊ln(1 − u) / ln(1 − p)⌋`, so each value is an
+/// outlier with probability `p` independently, as with one Bernoulli draw
+/// per value, but the stream pays one uniform per outlier instead.
+struct OutlierGaps {
+    /// `ln(1 − p)`.
+    ln_keep: f64,
+    /// Values still to draw before the next outlier.
+    left: u64,
+}
+
+impl OutlierGaps {
+    /// Gaps for outlier probability `p` in `(0, 1)`.
+    fn new(p: f64, rng: &mut SynthRng) -> Self {
+        let mut gaps = Self {
+            ln_keep: (-p).ln_1p(),
+            left: 0,
+        };
+        gaps.left = gaps.gap(rng);
+        gaps
+    }
+
+    fn gap(&self, rng: &mut SynthRng) -> u64 {
+        ((1.0 - rng.unit_f64()).ln() / self.ln_keep) as u64
+    }
+
+    /// Whether the next drawn value is an outlier.
+    fn next(&mut self, rng: &mut SynthRng) -> bool {
+        if self.left == 0 {
+            self.left = self.gap(rng);
+            true
+        } else {
+            self.left -= 1;
+            false
+        }
     }
 }
 
@@ -621,6 +743,46 @@ mod tests {
     }
 
     #[test]
+    fn counting_order_matches_stable_sort_reference() {
+        // The former implementation sorted block indices with a stable
+        // `sort_by_key` on the block sums; the counting order must
+        // reproduce that permutation exactly, ties and all.
+        fn reference(keys: &[usize]) -> Vec<usize> {
+            let mut idx: Vec<usize> = (0..keys.len()).collect();
+            idx.sort_by_key(|&i| keys[i]);
+            idx
+        }
+
+        let mut cases: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0],
+            vec![3, 3, 3],
+            vec![5, 0, 5, 1, 0, 2, 1],         // heavy ties
+            vec![4 * 4095, 0, 4 * 4095, 7, 1], // widest block sums
+        ];
+        // Deterministic pseudo-random block sums, dense in small values as
+        // calibrated activations are.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in [17usize, 64, 1025] {
+            let mut v = Vec::with_capacity(len);
+            for _ in 0..len {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                v.push(((x >> 40) % 4 * ((x >> 20) % 40)) as usize);
+            }
+            cases.push(v);
+        }
+        for keys in &cases {
+            assert_eq!(
+                stable_counting_order(keys),
+                reference(keys),
+                "keys={keys:?}"
+            );
+        }
+    }
+
+    #[test]
     fn weights_are_roughly_symmetric() {
         let layer = Layer::linear("l", 1, 256, 64);
         let w = SynthSource::new(5).weights(&layer, 16384);
@@ -634,6 +796,36 @@ mod tests {
         let layer = Layer::linear("l", 1000, 1000, 1);
         let acts = SynthSource::new(6).activations(&layer, 128);
         assert_eq!(acts.codes().len(), 128);
+    }
+
+    #[test]
+    fn ziggurat_layers_have_equal_area() {
+        let zig = ziggurat();
+        // Published 256-layer edges (Marsaglia & Tsang 2000).
+        assert!((zig.x[0] - 3.910_757_959_537_09).abs() < 1e-12);
+        assert!((zig.x[2] - 3.449_278_298_560_964).abs() < 1e-12);
+        assert_eq!(zig.x[256], 0.0);
+        for i in 1..256 {
+            assert!(zig.x[i + 1] < zig.x[i], "edges fall: layer {i}");
+            let area = zig.x[i] * (zig.f[i + 1] - zig.f[i]);
+            // The top layer absorbs the rounding of the published V.
+            let tol = if i == 255 { 1e-6 } else { 1e-12 };
+            assert!((area - ZIG_V).abs() < tol, "layer {i} area {area}");
+        }
+    }
+
+    #[test]
+    fn outlier_gaps_match_the_bernoulli_rate() {
+        const DRAWS: u64 = 1 << 22;
+        for p in [WEIGHT_OUTLIER_P, ACT_OUTLIER_P] {
+            let mut rng = SynthRng::seed_from_u64(17);
+            let mut gaps = OutlierGaps::new(p, &mut rng);
+            let hits = (0..DRAWS).filter(|_| gaps.next(&mut rng)).count() as f64;
+            let rate = hits / DRAWS as f64;
+            // Five binomial standard errors: ≈ 3.5e-5 at p = 0.005.
+            let tol = 5.0 * (p * (1.0 - p) / DRAWS as f64).sqrt();
+            assert!((rate - p).abs() < tol, "p {p}: rate {rate} ± {tol}");
+        }
     }
 
     #[test]

@@ -365,8 +365,8 @@ impl Simulator {
             let inputs = src.activations(layer, self.sample_cap);
             let weights = src.weights(layer, self.sample_cap);
             LayerTensors {
-                input_codes: inputs.codes().data().to_vec(),
-                weight_codes: weights.codes().data().to_vec(),
+                input_codes: inputs.into_codes().into_vec(),
+                weight_codes: weights.into_codes().into_vec(),
             }
         })
     }

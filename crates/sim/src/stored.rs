@@ -14,7 +14,9 @@
 //!   the full [`ArchSpec`] and the simulator's sample cap, tech node,
 //!   external memory, and latency model (via their `Debug` forms, which
 //!   print every field — a changed field changes the fingerprint, so a
-//!   stale entry can never be served for a new configuration).
+//!   stale entry can never be served for a new configuration), plus the
+//!   synthetic stream's [`SYNTH_VERSION`], so results drawn by an older
+//!   sampler read as misses rather than being served.
 //!
 //! Writes are best-effort: a failed `put` (disk full, permissions) bumps
 //! the `store.put_errors` counter in the process registry and the freshly
@@ -23,6 +25,7 @@
 //! value that does not parse back into a [`NetworkResult`] is recomputed
 //! and overwritten, never served.
 
+use sibia_nn::synth::SYNTH_VERSION;
 use sibia_nn::Network;
 use sibia_store::{Store, StoreKey};
 
@@ -46,10 +49,12 @@ pub fn repr_label(repr: Repr) -> &'static str {
 /// everything that shapes a result's bytes except the key's own
 /// `(network, seed, repr)` coordinates. The simulator fields are
 /// enumerated explicitly rather than taken from its `Debug` form, so the
-/// seed (a key coordinate of its own) stays out of the fingerprint.
+/// seed (a key coordinate of its own) stays out of the fingerprint. The
+/// synthesis version closes it: the same seed draws different tensors
+/// under another sampler.
 pub fn config_fingerprint(sim: &Simulator, arch: &ArchSpec) -> String {
     format!(
-        "arch={arch:?}|cap={}|tech={:?}|extmem={:?}|latency={:?}",
+        "arch={arch:?}|cap={}|tech={:?}|extmem={:?}|latency={:?}|synth={SYNTH_VERSION}",
         sim.sample_cap, sim.tech, sim.extmem, sim.latency_model
     )
 }
@@ -223,5 +228,42 @@ mod tests {
         let mut seeded = base;
         seeded.seed = 999;
         assert_eq!(config_fingerprint(&seeded, &arch), fp);
+        // The synthetic stream's version is part of the key.
+        assert!(
+            fp.ends_with(&format!("|synth={SYNTH_VERSION}")),
+            "fingerprint {fp} lacks the synth version"
+        );
+    }
+
+    #[test]
+    fn record_under_the_previous_synth_version_is_a_miss() {
+        let dir = temp_dir("synth-version");
+        let store = Store::open(&dir).unwrap();
+        let sim = Simulator::new(3);
+        let arch = ArchSpec::sibia_hybrid();
+        let net = tiny_net();
+        // A record as the previous release keyed it: the same coordinates,
+        // a fingerprint without the synth version, and (as far as this
+        // build can tell) a perfectly parsable result.
+        let old_fp =
+            config_fingerprint(&sim, &arch).replace(&format!("|synth={SYNTH_VERSION}"), "");
+        let old_key = StoreKey::new(KIND_NETWORK, net.name(), sim.seed, "sbr", &old_fp);
+        let mut stale = sim.simulate_network(&arch, &net);
+        stale.layers[0].cycles += 1;
+        store
+            .put(&old_key, &network_result_to_json(&stale))
+            .unwrap();
+
+        assert_eq!(try_stored(&sim, &arch, &net, &store), None);
+        let result = simulate_network_stored(&sim, &arch, &net, &DecompCache::new(), &store);
+        assert_eq!(result, sim.simulate_network(&arch, &net));
+        assert_ne!(result, stale);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.hits, stats.puts),
+            (0, 2),
+            "the old record must never be served"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

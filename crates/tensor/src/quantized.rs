@@ -57,6 +57,24 @@ impl QuantTensor {
         &self.codes
     }
 
+    /// Takes the integer codes, dropping the quantizer.
+    pub fn into_codes(self) -> Tensor<i32> {
+        self.codes
+    }
+
+    /// Edits the codes in place. The edit must keep every code inside the
+    /// precision's symmetric range, as an edit that only moves codes toward
+    /// zero (or to ±1) does; that is checked in debug builds only, which is
+    /// what spares such edits the validating pass of [`Self::from_codes`].
+    pub fn edit_codes(&mut self, edit: impl FnOnce(&mut [i32])) {
+        edit(self.codes.data_mut());
+        let p = self.quantizer.precision();
+        debug_assert!(
+            self.codes.data().iter().all(|&c| p.contains(c)),
+            "codes must fit the symmetric {p} range"
+        );
+    }
+
     /// The quantizer (scale + precision).
     pub fn quantizer(&self) -> &Quantizer {
         &self.quantizer

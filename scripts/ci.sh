@@ -16,6 +16,14 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> committed results are current"
+# report_all regenerates every file under results/ (seeded, deterministic).
+# A change to the synthetic stream or the model that does not commit the
+# regenerated files fails here instead of leaving stale numbers in the tree.
+./target/release/report_all >/dev/null
+git diff --exit-code -- results/ \
+  || { echo "results/ is stale: commit the output of report_all"; exit 1; }
+
 echo "==> kernel tier forcing"
 # The workspace run above exercises native dispatch (the best tier the
 # machine supports). Re-run the kernel-sensitive suites pinned to the
@@ -116,6 +124,9 @@ echo "==> streaming sweep smoke test"
 # the final document must be byte-identical to the non-streamed sweep of
 # the same grid.
 stream_dir="$(mktemp -d)"
+# Create the logs before the daemons start: the redirection happens in the
+# background child, so the polling sed could otherwise run before it exists.
+touch "$stream_dir/serve.log"
 ./target/release/sibia-cli serve --port 0 >"$stream_dir/serve.log" 2>&1 &
 stream_pid=$!
 trap 'kill "$stream_pid" 2>/dev/null || true' EXIT
@@ -146,6 +157,7 @@ echo "==> fleet smoke test"
 # single-process grid. This is the end-to-end failover determinism gate.
 fleet_dir="$(mktemp -d)"
 mkdir -p "$fleet_dir/store-a" "$fleet_dir/store-b"
+touch "$fleet_dir/a.log" "$fleet_dir/b.log"
 ./target/release/sibia-cli serve --port 0 --store-dir "$fleet_dir/store-a" \
   >"$fleet_dir/a.log" 2>&1 &
 fleet_pid_a=$!
@@ -188,6 +200,7 @@ echo "==> fleet chaos smoke test"
 chaos_dir="$(mktemp -d)"
 chaos_pids=()
 for i in 1 2 3 4; do
+  touch "$chaos_dir/$i.log"
   ./target/release/sibia-cli serve --port 0 >"$chaos_dir/$i.log" 2>&1 &
   chaos_pids+=($!)
 done
@@ -235,6 +248,7 @@ echo "==> telemetry smoke test"
 # nesting. Telemetry must never change the sweep's result bytes, and the
 # time-series counters must be monotonic between two stats scrapes.
 tel_dir="$(mktemp -d)"
+touch "$tel_dir/a.log" "$tel_dir/b.log"
 ./target/release/sibia-cli serve --port 0 --trace >"$tel_dir/a.log" 2>&1 &
 tel_pid_a=$!
 ./target/release/sibia-cli serve --port 0 --trace --reactor >"$tel_dir/b.log" 2>&1 &
