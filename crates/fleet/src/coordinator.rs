@@ -4,10 +4,11 @@
 //! [`crate::control`] plane) and runs a sweep grid across them as
 //! independent per-cell `simulate` requests:
 //!
-//! 1. every `(arch, network, seed)` cell is assigned a *home* backend by
-//!    the deterministic FNV shard ([`crate::shard`]) over the members
-//!    dispatchable at sweep start, and queued on that member's
-//!    [`crate::control::StealQueue`];
+//! 1. every `(network, seed)` row is assigned a *home* backend by the
+//!    deterministic FNV shard ([`crate::shard`]) over the members
+//!    dispatchable at sweep start, and its cells are queued, in arch
+//!    order, on that member's [`crate::control::StealQueue`] — a row's
+//!    cells share one synthesis in the backend's cache;
 //! 2. per-member dispatch workers drain their home queue front-first over
 //!    pooled connections with a per-request deadline (`timeout_ms` on the
 //!    wire); an **idle** worker steals from the back of the deepest
@@ -69,7 +70,7 @@ use crate::control::{
     pick_victim, CellJob, Completion, CompletionBoard, HedgeConfig, InFlightTable, Member,
     MemberConfig, MemberState, Membership, MembershipAction, PlannedEvent,
 };
-use crate::shard::backend_for_cell;
+use crate::shard::backend_for_row;
 
 /// How a sweep can fail, from the caller's point of view.
 #[derive(Debug)]
@@ -384,6 +385,25 @@ impl SweepState<'_> {
         )
     }
 
+    /// Queues every cell on its row's home among `members`: rows in
+    /// (network, seed) order, each row's cells in arch order. The owner
+    /// pops whole rows from the front and a thief steals the tail row, so
+    /// only the row where the two meet can be synthesized on both. The
+    /// owner's workers take neighbouring cells of one row at once; the
+    /// backend's cache makes them share each layer's synthesis.
+    fn queue_rows(&self, members: &[Arc<Member>]) {
+        let per_arch = self.networks.len() * self.seeds.len();
+        for (n, network) in self.networks.iter().enumerate() {
+            for (s, &seed) in self.seeds.iter().enumerate() {
+                let home = &members[backend_for_row(network, seed, members.len())];
+                for a in 0..self.archs.len() {
+                    home.queue
+                        .push_back(CellJob::new(a * per_arch + n * self.seeds.len() + s));
+                }
+            }
+        }
+    }
+
     fn done(&self) -> bool {
         self.abort.load(Ordering::Relaxed) || self.board.remaining() == 0
     }
@@ -592,17 +612,13 @@ impl Fleet {
             self.apply_membership(action, &state);
         }
 
-        // Shard every cell onto its home member among the ones that can
-        // take work right now; later joins pick cells up by stealing.
+        // Home every row on one member among the ones that can take work
+        // right now; later joins pick cells up by stealing.
         let initial = self.membership.dispatchable();
         if initial.is_empty() {
             return Err(FleetError::NoEndpoints);
         }
-        for flat in 0..cells {
-            let (arch, network, seed) = state.cell_coords(flat);
-            let home = backend_for_cell(arch, network, seed, initial.len());
-            initial[home].queue.push_back(CellJob::new(flat));
-        }
+        state.queue_rows(&initial);
 
         // Per-member baselines, so one Fleet can run many sweeps and the
         // stats still report this sweep's deltas.
@@ -1143,8 +1159,9 @@ impl Fleet {
     }
 
     /// Drains `member`'s home queue and re-homes the cells across the
-    /// dispatchable survivors with the same FNV shard (over the survivor
-    /// list), so the redistribution is itself deterministic.
+    /// dispatchable survivors with the same row shard (over the survivor
+    /// list), in queue order, so every drained row lands whole on one
+    /// survivor and the redistribution is itself deterministic.
     fn reshard(&self, member: &Member, state: &SweepState<'_>) {
         let jobs = member.queue.drain();
         if jobs.is_empty() {
@@ -1170,9 +1187,10 @@ impl Fleet {
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
         self.metrics.reshard_cells_total.add(jobs.len() as u64);
         for job in jobs {
-            let (arch, network, seed) = state.cell_coords(job.flat);
-            let target = &survivors[backend_for_cell(arch, network, seed, survivors.len())];
-            target.queue.push_back(job);
+            let (_, network, seed) = state.cell_coords(job.flat);
+            survivors[backend_for_row(network, seed, survivors.len())]
+                .queue
+                .push_back(job);
         }
     }
 
@@ -1451,6 +1469,131 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A member's queued flat indices, front to back (the queue is left
+    /// as it was).
+    fn queued(member: &Member) -> Vec<usize> {
+        let jobs = member.queue.drain();
+        for &job in &jobs {
+            member.queue.push_back(job);
+        }
+        jobs.iter().map(|j| j.flat).collect()
+    }
+
+    /// Splits a queue into rows of `archs` cells, asserting that each row
+    /// is one `(network, seed)` with its cells in arch order.
+    fn rows_of(state: &SweepState<'_>, queue: &[usize]) -> Vec<(String, u64)> {
+        assert_eq!(queue.len() % state.archs.len(), 0, "queue {queue:?}");
+        queue
+            .chunks(state.archs.len())
+            .map(|row| {
+                let (_, network, seed) = state.cell_coords(row[0]);
+                for (a, &flat) in row.iter().enumerate() {
+                    assert_eq!(
+                        state.cell_coords(flat),
+                        (state.archs[a].as_str(), network, seed),
+                        "queue {queue:?}"
+                    );
+                }
+                (network.to_string(), seed)
+            })
+            .collect()
+    }
+
+    fn row_grid() -> (Vec<String>, Vec<String>, Vec<u64>) {
+        let archs = ["bitfusion", "hnpu", "no-sbr", "input-skip", "sibia"];
+        (
+            archs.iter().map(|a| a.to_string()).collect(),
+            vec!["dgcnn".to_string(), "vit".to_string()],
+            (1..=4).collect(),
+        )
+    }
+
+    #[test]
+    fn home_queues_list_whole_rows_in_arch_order() {
+        let (archs, networks, seeds) = row_grid();
+        let state = bare_state(&archs, &networks, &seeds);
+        let endpoints: Vec<String> = (1..=3).map(|p| format!("127.0.0.1:{p}")).collect();
+        let fleet = Fleet::new(FleetConfig::new(endpoints)).unwrap();
+        let members = fleet.membership.snapshot();
+        state.queue_rows(&members);
+
+        let mut homed = Vec::new();
+        for m in &members {
+            let rows = rows_of(&state, &queued(m));
+            for (network, seed) in &rows {
+                assert_eq!(backend_for_row(network, *seed, members.len()), m.index);
+            }
+            // Rows follow the grid's (network, seed) order.
+            let order = |(n, s): &(String, u64)| {
+                let ni = networks.iter().position(|x| x == n).unwrap();
+                (ni, *s)
+            };
+            assert!(rows.windows(2).all(|w| order(&w[0]) < order(&w[1])));
+            homed.extend(rows);
+        }
+        homed.sort();
+        let mut all: Vec<(String, u64)> = networks
+            .iter()
+            .flat_map(|n| seeds.iter().map(move |&s| (n.clone(), s)))
+            .collect();
+        all.sort();
+        assert_eq!(homed, all, "every row homed exactly once");
+    }
+
+    #[test]
+    fn a_planned_leave_rehomes_every_drained_row_whole() {
+        let (archs, networks, seeds) = row_grid();
+        let state = bare_state(&archs, &networks, &seeds);
+        let endpoints: Vec<String> = (1..=3).map(|p| format!("127.0.0.1:{p}")).collect();
+        let fleet = Fleet::new(FleetConfig::new(endpoints.clone())).unwrap();
+        let members = fleet.membership.snapshot();
+        state.queue_rows(&members);
+        let leaver = members
+            .iter()
+            .max_by_key(|m| m.queue.len())
+            .map(Arc::clone)
+            .unwrap();
+        let drained = rows_of(&state, &queued(&leaver));
+        assert!(!drained.is_empty());
+        let kept: Vec<Vec<(String, u64)>> = members
+            .iter()
+            .map(|m| rows_of(&state, &queued(m)))
+            .collect();
+
+        fleet.apply_membership(
+            MembershipAction::Leave(endpoints[leaver.index].clone()),
+            &state,
+        );
+
+        assert!(leaver.queue.is_empty());
+        let survivors: Vec<&Arc<Member>> =
+            members.iter().filter(|m| m.index != leaver.index).collect();
+        let mut rehomed = Vec::new();
+        for (i, m) in survivors.iter().enumerate() {
+            // A survivor keeps its own rows in front, then takes whole
+            // drained rows, in the drained queue's order.
+            let rows = rows_of(&state, &queued(m));
+            let own = &kept[m.index];
+            assert_eq!(&rows[..own.len()], own.as_slice());
+            let took = &rows[own.len()..];
+            for (network, seed) in took {
+                assert_eq!(backend_for_row(network, *seed, survivors.len()), i);
+            }
+            let expected: Vec<(String, u64)> = drained
+                .iter()
+                .filter(|(n, s)| backend_for_row(n, *s, survivors.len()) == i)
+                .cloned()
+                .collect();
+            assert_eq!(took, expected.as_slice());
+            rehomed.extend_from_slice(took);
+        }
+        assert_eq!(rehomed.len(), drained.len());
+        assert_eq!(
+            state.resharded.load(Ordering::Relaxed),
+            (drained.len() * archs.len()) as u64
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # sibia-fleet — dynamically scheduled multi-backend sweep coordination
 //!
 //! The first horizontal-scaling layer of the Sibia stack: a std-only
-//! coordinator that takes a sweep grid, shards its cells across a dynamic
+//! coordinator that takes a sweep grid, shards its rows across a dynamic
 //! roster of `sibia-serve` backends, and merges the answers into a
 //! document **byte-identical** to a direct [`sibia_sim::ParallelEngine`]
 //! grid run — regardless of backend count, membership churn, failures,
@@ -9,7 +9,7 @@
 //!
 //! | module | what it provides |
 //! |---|---|
-//! | [`shard`] | deterministic FNV-1a cell → backend assignment |
+//! | [`shard`] | deterministic FNV-1a `(network, seed)` row → backend assignment |
 //! | [`backoff`] | bounded exponential backoff with deterministic jitter (SynthRng, no `rand`) |
 //! | [`breaker`] | per-backend Closed/Open/HalfOpen circuit breaker |
 //! | [`pool`] | per-backend blocking connection pool over [`sibia_serve::Client`] |
@@ -34,12 +34,13 @@
 //!
 //! ## Scheduling policy in one paragraph
 //!
-//! Every cell starts on its FNV-sharded home queue. Idle workers steal
-//! from the back of the deepest dispatchable queue
-//! ([`control::stealing`]), so a straggler sheds its backlog instead of
-//! serializing the sweep's tail. A cell in flight past the windowed-p99
-//! hedge deadline ([`control::hedging`]) is duplicated onto the
-//! least-loaded other member; the first completion wins the cell on the
+//! Every cell starts on the home queue of its `(network, seed)` row, so
+//! a row's arch cells share one synthesis. Idle workers steal from the
+//! back of the deepest dispatchable queue ([`control::stealing`]), so a
+//! straggler sheds its backlog instead of serializing the sweep's tail.
+//! A cell in flight past the windowed-p99 hedge deadline
+//! ([`control::hedging`]) is duplicated onto the least-loaded other
+//! member; the first completion wins the cell on the
 //! [`control::CompletionBoard`], the loser's socket is cancelled via
 //! [`sibia_serve::CancelHandle`], and a loser that answers anyway is
 //! deduped — never double-written. Members join and leave mid-sweep
@@ -68,5 +69,5 @@ pub use control::{
 };
 pub use coordinator::{Fleet, FleetConfig, FleetError, SweepStats};
 pub use pool::ClientPool;
-pub use shard::{backend_for_cell, cell_key};
+pub use shard::{backend_for_row, row_key};
 pub use telemetry::{backend_pid, merge_chrome_trace, COORDINATOR_PID};

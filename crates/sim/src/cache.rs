@@ -20,10 +20,12 @@
 //! serial, and parallel runs produce bit-identical floating-point results.
 //!
 //! The cache is `Mutex`-guarded and shared across the worker threads of
-//! `crate::parallel`. Locks are never held while synthesizing or
-//! decomposing; two threads racing the same key may both compute it, but the
-//! value is a pure function of the key, so whichever insert lands first is
-//! indistinguishable from the other.
+//! `crate::parallel` and of the serve daemon. Locks are never held while
+//! synthesizing or decomposing, and a key is computed once: a thread that
+//! asks for a key another thread is computing waits for that value instead
+//! of computing it again. This matters when concurrent requests walk the
+//! same `(network, seed)` row layer by layer — a fleet homes a row's arch
+//! cells on one backend, whose workers take several of them at once.
 //!
 //! Long-lived owners (the `sibia-serve` daemon keeps one cache for its whole
 //! lifetime) bound memory with [`DecompCache::with_capacity`]: each level
@@ -33,10 +35,10 @@
 //! changes memory and wall-clock, never results. Hit/miss counters feed the
 //! daemon's `metrics` endpoint.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use sibia_nn::Layer;
 use sibia_sbr::packed::PackedPlane;
@@ -196,14 +198,22 @@ struct DecompKey {
 #[derive(Debug)]
 struct Shard<K, V> {
     map: HashMap<K, (Arc<V>, u64)>,
+    /// Keys a thread is computing right now.
+    pending: HashSet<K>,
     tick: u64,
+    /// Threads waiting for a pending key; tests read it to order a race.
+    #[cfg(test)]
+    waiting: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> Shard<K, V> {
     fn new() -> Self {
         Self {
             map: HashMap::new(),
+            pending: HashSet::new(),
             tick: 0,
+            #[cfg(test)]
+            waiting: 0,
         }
     }
 
@@ -216,19 +226,10 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
         })
     }
 
-    /// Inserts (keeping an existing value if a racing thread beat us),
-    /// evicts down to `cap`, and returns the stored value.
-    fn insert(&mut self, key: K, value: Arc<V>, cap: Option<usize>) -> Arc<V> {
+    /// Inserts and evicts down to `cap`.
+    fn insert(&mut self, key: K, value: Arc<V>, cap: Option<usize>) {
         self.tick += 1;
-        let tick = self.tick;
-        let stored = Arc::clone(
-            &self
-                .map
-                .entry(key)
-                .and_modify(|(_, stamp)| *stamp = tick)
-                .or_insert((value, tick))
-                .0,
-        );
+        self.map.insert(key, (value, self.tick));
         if let Some(cap) = cap {
             while self.map.len() > cap {
                 let oldest = self
@@ -240,7 +241,89 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
                 self.map.remove(&oldest);
             }
         }
-        stored
+    }
+}
+
+/// One memo level: its entries, and a condvar that wakes the threads
+/// waiting for a key another thread is computing.
+#[derive(Debug)]
+struct Level<K, V> {
+    shard: Mutex<Shard<K, V>>,
+    ready: Condvar,
+}
+
+impl<K: Eq + Hash + Clone, V> Level<K, V> {
+    fn new() -> Self {
+        Self {
+            shard: Mutex::new(Shard::new()),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn entries(&self) -> usize {
+        self.shard.lock().expect("cache lock").map.len()
+    }
+
+    /// The value of `key`: a hit, the value another thread is computing
+    /// (waited for), or `compute()` run here without the lock held.
+    /// Returns the value and whether this call computed it.
+    fn get_or_compute(
+        &self,
+        key: K,
+        cap: Option<usize>,
+        compute: impl FnOnce() -> V,
+    ) -> (Arc<V>, bool) {
+        let mut shard = self.shard.lock().expect("cache lock");
+        loop {
+            if let Some(hit) = shard.get(&key) {
+                return (hit, false);
+            }
+            if !shard.pending.contains(&key) {
+                break;
+            }
+            #[cfg(test)]
+            {
+                shard.waiting += 1;
+            }
+            shard = self.ready.wait(shard).expect("cache lock");
+            #[cfg(test)]
+            {
+                shard.waiting -= 1;
+            }
+        }
+        shard.pending.insert(key.clone());
+        drop(shard);
+        let claim = Claim {
+            level: self,
+            key: &key,
+        };
+        let value = Arc::new(compute());
+        self.shard
+            .lock()
+            .expect("cache lock")
+            .insert(key.clone(), Arc::clone(&value), cap);
+        drop(claim);
+        (value, true)
+    }
+}
+
+/// A key being computed. Dropping it — also when the computation panics —
+/// clears the mark and wakes the waiters, who then read the value or, if
+/// there is none, compute it themselves.
+struct Claim<'a, K: Eq + Hash + Clone, V> {
+    level: &'a Level<K, V>,
+    key: &'a K,
+}
+
+impl<K: Eq + Hash + Clone, V> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        let mut shard = self
+            .level
+            .shard
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        shard.pending.remove(self.key);
+        self.level.ready.notify_all();
     }
 }
 
@@ -248,8 +331,8 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
 /// optionally bounded per level.
 #[derive(Debug)]
 pub struct DecompCache {
-    tensors: Mutex<Shard<TensorKey, LayerTensors>>,
-    decomps: Mutex<Shard<DecompKey, LayerDecomp>>,
+    tensors: Level<TensorKey, LayerTensors>,
+    decomps: Level<DecompKey, LayerDecomp>,
     capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -260,8 +343,8 @@ impl DecompCache {
     /// grid's layer count, naturally bounded).
     pub fn new() -> Self {
         Self {
-            tensors: Mutex::new(Shard::new()),
-            decomps: Mutex::new(Shard::new()),
+            tensors: Level::new(),
+            decomps: Level::new(),
             capacity: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -285,12 +368,12 @@ impl DecompCache {
 
     /// Number of cached layer tensors.
     pub fn tensor_entries(&self) -> usize {
-        self.tensors.lock().expect("cache lock").map.len()
+        self.tensors.entries()
     }
 
     /// Number of cached layer decompositions.
     pub fn decomp_entries(&self) -> usize {
-        self.decomps.lock().expect("cache lock").map.len()
+        self.decomps.entries()
     }
 
     /// Lookups answered from the cache (both levels).
@@ -314,7 +397,8 @@ impl DecompCache {
     }
 
     /// Returns the synthesized tensors for a key, computing them with
-    /// `synth` on a miss. The lock is not held during `synth`.
+    /// `synth` on a miss. The lock is not held during `synth`; a thread
+    /// asking for the key meanwhile waits for this value.
     pub fn tensors(
         &self,
         layer: &Layer,
@@ -329,20 +413,14 @@ impl DecompCache {
             layer_index,
             sample_cap,
         };
-        if let Some(hit) = self.tensors.lock().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(synth());
-        self.tensors
-            .lock()
-            .expect("cache lock")
-            .insert(key, value, self.capacity)
+        let (value, computed) = self.tensors.get_or_compute(key, self.capacity, synth);
+        self.count(computed);
+        value
     }
 
     /// Returns the decomposition statistics for a key, computing them with
-    /// `measure` on a miss. The lock is not held during `measure`.
+    /// `measure` on a miss. The lock is not held during `measure`; a thread
+    /// asking for the key meanwhile waits for this value.
     pub fn decomp(
         &self,
         layer: &Layer,
@@ -359,16 +437,14 @@ impl DecompCache {
             sample_cap,
             repr,
         };
-        if let Some(hit) = self.decomps.lock().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(measure());
-        self.decomps
-            .lock()
-            .expect("cache lock")
-            .insert(key, value, self.capacity)
+        let (value, computed) = self.decomps.get_or_compute(key, self.capacity, measure);
+        self.count(computed);
+        value
+    }
+
+    fn count(&self, computed: bool) {
+        let counter = if computed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -454,6 +530,60 @@ mod tests {
             weight_codes: vec![],
         });
         assert_eq!(cache.tensor_entries(), 2);
+    }
+
+    /// Runs `first` on a thread that claims the key and finishes only once
+    /// a second request for the same key waits for it (or has returned
+    /// without waiting); returns the second request's value and how many
+    /// times its closure ran.
+    fn race_same_key(first: impl FnOnce() -> LayerTensors + Send) -> (Vec<i32>, usize) {
+        use sibia_nn::Layer;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        let cache = DecompCache::new();
+        let layer = Layer::linear("l", 4, 8, 8);
+        let waiting = || cache.tensors.shard.lock().unwrap().waiting;
+        let second_done = AtomicBool::new(false);
+        let (started, claimed) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.tensors(&layer, 1, 0, 64, || {
+                        started.send(()).unwrap();
+                        while waiting() == 0 && !second_done.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        first()
+                    })
+                }));
+            });
+            claimed.recv().unwrap();
+            let mut calls = 0;
+            let value = cache.tensors(&layer, 1, 0, 64, || {
+                calls += 1;
+                LayerTensors {
+                    input_codes: vec![2],
+                    weight_codes: vec![],
+                }
+            });
+            second_done.store(true, Ordering::SeqCst);
+            (value.input_codes.clone(), calls)
+        })
+    }
+
+    #[test]
+    fn a_key_being_computed_is_waited_for_not_computed_again() {
+        let (value, calls) = race_same_key(|| LayerTensors {
+            input_codes: vec![1],
+            weight_codes: vec![],
+        });
+        assert_eq!((value, calls), (vec![1], 0));
+    }
+
+    #[test]
+    fn a_panicking_computation_hands_the_key_to_a_waiter() {
+        let (value, calls) = race_same_key(|| panic!("synthesis failed"));
+        assert_eq!((value, calls), (vec![2], 1));
     }
 
     #[test]
