@@ -1,14 +1,12 @@
-//! Criterion bench: the sparsity-kernel tier matrix — scalar reference,
-//! portable SWAR, and the SSE2/AVX2 `core::arch` implementations — on the
-//! per-plane measurements the performance simulator runs for every layer of
-//! every sweep cell. Each group benches every tier the host supports, with
-//! the tier name in the benchmark id, so a single run shows the speedup
-//! ladder (`scalar` → `swar` → `sse2` → `avx2`) per kernel.
+//! Criterion bench: the kernel tier matrix — scalar reference, portable
+//! SWAR, and the SSE2/AVX2 `core::arch` implementations — on the one-pass
+//! plane counts and the decompositions the performance simulator runs for
+//! every layer of every sweep cell. Each group benches every tier the host
+//! supports, with the tier name in the benchmark id, so a single run shows
+//! the speedup ladder (`scalar` → `swar` → `sse2` → `avx2`) per kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sibia_compress::RleCodec;
 use sibia_sbr::kernels::{ops_for, KernelOps, KernelTier};
-use sibia_sbr::subword::to_subwords;
 use sibia_sbr::Precision;
 
 /// Every tier the host supports, best last.
@@ -54,37 +52,9 @@ fn values() -> Vec<i32> {
         .collect()
 }
 
-fn bench_zero_digits(c: &mut Criterion) {
-    let p = plane(8);
-    let mut g = c.benchmark_group("zero_digits_64k");
-    for ops in tiers() {
-        g.bench_function(ops.tier.name(), |b| {
-            b.iter(|| black_box(ops.zero_digit_count(black_box(&p))))
-        });
-    }
-    g.finish();
-}
-
-fn bench_zero_subwords(c: &mut Criterion) {
-    let p = plane(8);
-    let mut g = c.benchmark_group("zero_subwords_64k");
-    g.bench_function("scalar_vec_subword", |b| {
-        b.iter(|| {
-            let sw = to_subwords(black_box(&p));
-            black_box(sw.iter().filter(|s| s.is_zero()).count())
-        })
-    });
-    for ops in tiers() {
-        g.bench_function(ops.tier.name(), |b| {
-            b.iter(|| black_box(ops.zero_subword_count(black_box(&p))))
-        });
-    }
-    g.finish();
-}
-
 fn bench_plane_counts(c: &mut Criterion) {
     // The simulator's hot path: zero digits + zero sub-words + RLE entries
-    // in one pass over the raw plane, no packing.
+    // in one pass over the raw plane.
     let mut g = c.benchmark_group("plane_counts_64k");
     for zeros_in_10 in [2u64, 8] {
         let p = plane(zeros_in_10);
@@ -93,46 +63,6 @@ fn bench_plane_counts(c: &mut Criterion) {
                 b.iter(|| black_box(ops.plane_counts(black_box(&p), 4)))
             });
         }
-    }
-    g.finish();
-}
-
-fn bench_rle_count(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rle_entry_count_64k");
-    for zeros_in_10 in [2u64, 8] {
-        let p = plane(zeros_in_10);
-        let subwords = p.len().div_ceil(4);
-        let mut words = vec![0u64; p.len().div_ceil(16)];
-        ops_for(KernelTier::Swar)
-            .expect("swar always supported")
-            .pack_words(&p, &mut words);
-        let codec = RleCodec::default();
-        g.bench_function(format!("codec_compress/z{zeros_in_10}"), |b| {
-            b.iter(|| {
-                let sw = to_subwords(black_box(&p));
-                black_box(codec.compress(&sw).entries().len())
-            })
-        });
-        for ops in tiers() {
-            g.bench_function(format!("{}/z{zeros_in_10}", ops.tier.name()), |b| {
-                b.iter(|| black_box(ops.rle_entry_count_words(black_box(&words), subwords, 4)))
-            });
-        }
-    }
-    g.finish();
-}
-
-fn bench_pack(c: &mut Criterion) {
-    let p = plane(5);
-    let mut g = c.benchmark_group("pack_plane_64k");
-    for ops in tiers() {
-        g.bench_function(ops.tier.name(), |b| {
-            b.iter(|| {
-                let mut words = vec![0u64; p.len().div_ceil(16)];
-                ops.pack_words(black_box(&p), &mut words);
-                black_box(words)
-            })
-        });
     }
     g.finish();
 }
@@ -151,13 +81,5 @@ fn bench_decompose(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_zero_digits,
-    bench_zero_subwords,
-    bench_plane_counts,
-    bench_rle_count,
-    bench_pack,
-    bench_decompose
-);
+criterion_group!(benches, bench_plane_counts, bench_decompose);
 criterion_main!(benches);

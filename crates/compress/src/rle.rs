@@ -439,10 +439,10 @@ mod tests {
 
     #[test]
     fn packed_plane_rle_count_matches_codec() {
-        // The simulator's SWAR fast path must stay bit-exact with this
-        // codec: same entry count, same size accounting, for every index
-        // width and sparsity pattern.
-        use sibia_sbr::packed::PackedPlane;
+        // The simulator's one-pass plane-count kernel must stay bit-exact
+        // with this codec on every kernel tier: same entry count, same size
+        // accounting, for every index width and sparsity pattern.
+        use sibia_sbr::kernels::{ops_for, KernelTier};
         use sibia_sbr::subword::to_subwords;
         let mut x = 0xDEADBEEFu64;
         for len in [0usize, 1, 4, 15, 16, 17, 64, 257, 1000] {
@@ -453,15 +453,18 @@ mod tests {
                     let zero = (x >> 20) % 10 < zeros_in_10;
                     plane.push(if zero { 0 } else { ((x >> 40) % 7 + 1) as i8 });
                 }
-                let packed = PackedPlane::pack(&plane);
                 for bits in [1u8, 2, 4, 8] {
                     let stream = RleCodec::new(bits).compress(&to_subwords(&plane));
-                    assert_eq!(
-                        packed.rle_entry_count(bits),
-                        stream.entries().len(),
-                        "len={len} zeros={zeros_in_10} bits={bits}"
-                    );
-                    assert_eq!(packed.rle_size_bits(bits), stream.size_bits());
+                    for ops in KernelTier::ALL.into_iter().filter_map(|t| ops_for(t).ok()) {
+                        let entries = ops.plane_counts(&plane, bits).rle_entries;
+                        assert_eq!(
+                            entries,
+                            stream.entries().len(),
+                            "{} len={len} zeros={zeros_in_10} bits={bits}",
+                            ops.tier
+                        );
+                        assert_eq!(entries * (16 + usize::from(bits)), stream.size_bits());
+                    }
                 }
             }
         }

@@ -1,15 +1,18 @@
 //! Runtime-dispatched sparsity and decomposition kernels.
 //!
 //! The performance simulator's hot loops are (a) the zero-structure
-//! measurements of slice planes — zero digits, zero sub-words, RLE entry
-//! counts — and (b) the i32 → digit-plane decompositions feeding them. This
-//! module provides each of those operations at four implementation **tiers**:
+//! measurement of slice planes — zero digits, zero sub-words and RLE entry
+//! counts, all three from one pass over the raw digits
+//! ([`KernelOps::plane_counts`]) — and (b) the i32 → digit-plane
+//! decompositions feeding it ([`KernelOps::sbr_planes`],
+//! [`KernelOps::conv_planes`]). This module provides those three kernels at
+//! four implementation **tiers**:
 //!
 //! * [`KernelTier::Scalar`] — one digit at a time; the reference the other
 //!   tiers are property-tested against, and the honest "pre-optimization"
 //!   baseline the engine benchmark compares to;
 //! * [`KernelTier::Swar`] — portable SIMD-within-a-register over `u64`
-//!   words (the PR-1 kernels), the fallback on every non-x86 target;
+//!   byte words, the fallback on every non-x86 target;
 //! * [`KernelTier::Sse2`] / [`KernelTier::Avx2`] — `core::arch::x86_64`
 //!   implementations processing 16 / 32 digits per instruction.
 //!
@@ -31,7 +34,7 @@
 //! the calling thread only.
 //!
 //! Each tier registers call counters in the process-wide observability
-//! registry (`sbr.kernels.<tier>.{counts,pack,decompose}`) and the selected
+//! registry (`sbr.kernels.<tier>.{counts,decompose}`) and the selected
 //! tier index is published as the `sbr.kernels.tier` gauge, so a trace or
 //! metrics dump always records which kernels produced it.
 
@@ -153,10 +156,8 @@ pub struct PlaneCounts {
 
 /// Per-tier call counters in the process-wide observability registry.
 struct TierCounters {
-    /// Zero/sub-word/RLE counting calls (raw planes and packed words).
+    /// Plane-counting calls.
     counts: Arc<Counter>,
-    /// Nibble-packing calls.
-    pack: Arc<Counter>,
     /// i32 → digit-plane decomposition calls.
     decompose: Arc<Counter>,
 }
@@ -167,7 +168,6 @@ impl TierCounters {
         let name = |op: &str| format!("sbr.kernels.{}.{op}", tier.name());
         Self {
             counts: registry.counter(&name("counts")),
-            pack: registry.counter(&name("pack")),
             decompose: registry.counter(&name("decompose")),
         }
     }
@@ -182,13 +182,7 @@ pub struct KernelOps {
     /// The tier these kernels belong to.
     pub tier: KernelTier,
     counters: TierCounters,
-    zero_digit_count: fn(&[i8]) -> usize,
-    zero_subword_count: fn(&[i8]) -> usize,
     plane_counts: fn(&[i8], u8) -> PlaneCounts,
-    pack_words: fn(&[i8], &mut [u64]),
-    nonzero_slice_count_words: fn(&[u64]) -> usize,
-    nonzero_subword_count_words: fn(&[u64]) -> usize,
-    rle_entry_count_words: fn(&[u64], usize, u8) -> usize,
     sbr_planes: fn(&[i32], Precision) -> Vec<Vec<i8>>,
     conv_planes: fn(&[i32], Precision) -> Vec<Vec<i8>>,
 }
@@ -202,22 +196,8 @@ impl fmt::Debug for KernelOps {
 }
 
 impl KernelOps {
-    /// Number of zero digits in an unpacked plane.
-    pub fn zero_digit_count(&self, plane: &[i8]) -> usize {
-        self.counters.counts.add(1);
-        (self.zero_digit_count)(plane)
-    }
-
-    /// Number of zero sub-words (groups of four digits, tail zero-padded)
-    /// in an unpacked plane.
-    pub fn zero_subword_count(&self, plane: &[i8]) -> usize {
-        self.counters.counts.add(1);
-        (self.zero_subword_count)(plane)
-    }
-
-    /// All zero-structure counts of an unpacked plane — zero digits, zero
-    /// sub-words, and RLE entries at `index_bits` — in one pass, without
-    /// packing.
+    /// All zero-structure counts of a digit plane — zero digits, zero
+    /// sub-words, and RLE entries at `index_bits` — in one pass.
     ///
     /// # Panics
     ///
@@ -225,32 +205,6 @@ impl KernelOps {
     pub fn plane_counts(&self, plane: &[i8], index_bits: u8) -> PlaneCounts {
         self.counters.counts.add(1);
         (self.plane_counts)(plane, index_bits)
-    }
-
-    /// Packs a digit plane sixteen low nibbles to a `u64`, the
-    /// [`crate::PackedPlane`] layout. `words` must hold
-    /// `plane.len().div_ceil(16)` zeroed words.
-    pub fn pack_words(&self, plane: &[i8], words: &mut [u64]) {
-        self.counters.pack.add(1);
-        (self.pack_words)(plane, words)
-    }
-
-    /// Number of non-zero nibbles in packed words (tail nibbles are zero).
-    pub fn nonzero_slice_count_words(&self, words: &[u64]) -> usize {
-        self.counters.counts.add(1);
-        (self.nonzero_slice_count_words)(words)
-    }
-
-    /// Number of non-zero sub-words (u16 lanes) in packed words.
-    pub fn nonzero_subword_count_words(&self, words: &[u64]) -> usize {
-        self.counters.counts.add(1);
-        (self.nonzero_subword_count_words)(words)
-    }
-
-    /// RLE entry count over the first `subwords` u16 lanes of packed words.
-    pub fn rle_entry_count_words(&self, words: &[u64], subwords: usize, index_bits: u8) -> usize {
-        self.counters.counts.add(1);
-        (self.rle_entry_count_words)(words, subwords, index_bits)
     }
 
     /// SBR decomposition of a tensor into per-order digit planes
@@ -282,26 +236,14 @@ fn build_ops(tier: KernelTier) -> KernelOps {
         KernelTier::Scalar => KernelOps {
             tier,
             counters,
-            zero_digit_count: scalar::zero_digit_count,
-            zero_subword_count: scalar::zero_subword_count,
             plane_counts: scalar::plane_counts,
-            pack_words: scalar::pack_words,
-            nonzero_slice_count_words: scalar::nonzero_slice_count_words,
-            nonzero_subword_count_words: scalar::nonzero_subword_count_words,
-            rle_entry_count_words: scalar::rle_entry_count_words,
             sbr_planes: scalar::sbr_planes,
             conv_planes: scalar::conv_planes,
         },
         KernelTier::Swar => KernelOps {
             tier,
             counters,
-            zero_digit_count: swar::zero_digit_count,
-            zero_subword_count: swar::zero_subword_count,
             plane_counts: swar::plane_counts,
-            pack_words: swar::pack_words,
-            nonzero_slice_count_words: swar::nonzero_slice_count_words,
-            nonzero_subword_count_words: swar::nonzero_subword_count_words,
-            rle_entry_count_words: swar::rle_entry_count_words,
             sbr_planes: swar::sbr_planes,
             conv_planes: swar::conv_planes,
         },
@@ -309,16 +251,7 @@ fn build_ops(tier: KernelTier) -> KernelOps {
         KernelTier::Sse2 => KernelOps {
             tier,
             counters,
-            zero_digit_count: x86::zero_digit_count_sse2,
-            zero_subword_count: x86::zero_subword_count_sse2,
             plane_counts: x86::plane_counts_sse2,
-            pack_words: x86::pack_words_sse2,
-            nonzero_slice_count_words: x86::nonzero_slice_count_words_sse2,
-            nonzero_subword_count_words: x86::nonzero_subword_count_words_sse2,
-            // The RLE lane walk is sequential; every wide tier shares the
-            // SWAR walk over packed words (raw-plane RLE counting is the
-            // vectorized path — see `plane_counts`).
-            rle_entry_count_words: swar::rle_entry_count_words,
             sbr_planes: x86::sbr_planes_sse2,
             conv_planes: x86::conv_planes_sse2,
         },
@@ -326,13 +259,7 @@ fn build_ops(tier: KernelTier) -> KernelOps {
         KernelTier::Avx2 => KernelOps {
             tier,
             counters,
-            zero_digit_count: x86::zero_digit_count_avx2,
-            zero_subword_count: x86::zero_subword_count_avx2,
             plane_counts: x86::plane_counts_avx2,
-            pack_words: x86::pack_words_avx2,
-            nonzero_slice_count_words: x86::nonzero_slice_count_words_avx2,
-            nonzero_subword_count_words: x86::nonzero_subword_count_words_avx2,
-            rle_entry_count_words: swar::rle_entry_count_words,
             sbr_planes: x86::sbr_planes_avx2,
             conv_planes: x86::conv_planes_avx2,
         },
@@ -453,7 +380,7 @@ pub fn active() -> &'static KernelOps {
     try_active().unwrap_or_else(|e| panic!("{FORCE_ENV}: {e}"))
 }
 
-/// Shared single-pass counting drivers, parameterized over a tier's
+/// The shared single-pass counting driver, parameterized over a tier's
 /// 64-digit non-zero-mask primitive. `#[inline(always)]` so each tier's
 /// instantiation inlines into its `#[target_feature]` wrapper and compiles
 /// with that tier's instruction set.
@@ -461,7 +388,7 @@ pub(crate) mod detail {
     use super::PlaneCounts;
 
     /// Low bit of every nibble lane.
-    pub(crate) const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
+    const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 
     /// One-pass [`PlaneCounts`] from a tier's 64-digit mask primitive:
     /// `mask64` returns bit `i` set iff digit `i` of its 64-digit chunk is
@@ -548,6 +475,119 @@ pub(crate) mod detail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subword::{to_subwords, zero_subword_fraction};
+
+    fn supported_ops() -> impl Iterator<Item = &'static KernelOps> {
+        KernelTier::ALL.into_iter().filter_map(|t| ops_for(t).ok())
+    }
+
+    /// Deterministic pseudo-random digit planes covering both digit ranges.
+    fn test_planes() -> Vec<Vec<i8>> {
+        let mut planes = vec![
+            vec![],
+            vec![0],
+            vec![3],
+            vec![0; 64],
+            vec![1; 64],
+            vec![1, 0, 0, 0, 0, 0, 0, 0, 5],
+        ];
+        let mut x = 0x12345678u64;
+        for len in [7usize, 16, 17, 63, 64, 65, 1000] {
+            for sparsity in [0u64, 2, 7, 9] {
+                let mut p = Vec::with_capacity(len);
+                for _ in 0..len {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let digit = ((x >> 33) % 24) as i64 - 8; // [-8, 15]
+                    let keep = sparsity == 0 || (x >> 17) % 10 < sparsity;
+                    p.push(if keep { 0 } else { digit.clamp(-8, 15) as i8 });
+                }
+                planes.push(p);
+            }
+        }
+        planes
+    }
+
+    #[test]
+    fn zero_counts_match_scalar() {
+        for plane in test_planes() {
+            let scalar_zeros = plane.iter().filter(|&&s| s == 0).count();
+            for ops in supported_ops() {
+                let c = ops.plane_counts(&plane, 4);
+                assert_eq!(c.len, plane.len());
+                assert_eq!(c.zero_digits, scalar_zeros, "{} plane {plane:?}", ops.tier);
+            }
+        }
+    }
+
+    #[test]
+    fn subword_counts_match_scalar() {
+        for plane in test_planes() {
+            let sw = to_subwords(&plane);
+            let scalar_zeros = sw.iter().filter(|s| s.is_zero()).count();
+            for ops in supported_ops() {
+                let c = ops.plane_counts(&plane, 4);
+                assert_eq!(c.subwords, sw.len());
+                assert_eq!(
+                    c.zero_subwords, scalar_zeros,
+                    "{} plane {plane:?}",
+                    ops.tier
+                );
+            }
+            if !sw.is_empty() {
+                assert_eq!(
+                    zero_subword_fraction(&plane),
+                    scalar_zeros as f64 / sw.len() as f64
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn byte_mask_is_exact_under_borrow_patterns() {
+        // [0x00, 0x01] adjacencies defeat the naive `x - 0x01..` trick;
+        // the carry-based mask must not. Nine repeats (72 digits) reach the
+        // 64-digit mask path, not just the remainder loop.
+        for pattern in [
+            [0i8, 1, 0, 1, 0, 1, 0, 1],
+            [1, 0, 1, 0, 1, 0, 1, 0],
+            [0, 0, 0, 0, 1, 1, 1, 1],
+            [-128, 0, 127, 0, -1, 0, 1, 0],
+        ] {
+            let plane = pattern.repeat(9);
+            let expected = plane.iter().filter(|&&s| s == 0).count();
+            for ops in supported_ops() {
+                assert_eq!(
+                    ops.plane_counts(&plane, 4).zero_digits,
+                    expected,
+                    "{} {pattern:?}",
+                    ops.tier
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_plane_is_harmless() {
+        let empty = PlaneCounts {
+            len: 0,
+            zero_digits: 0,
+            subwords: 0,
+            zero_subwords: 0,
+            rle_entries: 0,
+        };
+        for ops in supported_ops() {
+            assert_eq!(ops.plane_counts(&[], 4), empty, "{}", ops.tier);
+        }
+        assert_eq!(zero_subword_fraction(&[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index bits")]
+    fn rle_count_validates_index_width() {
+        let _ = active().plane_counts(&[1], 0);
+    }
 
     #[test]
     fn tier_names_round_trip() {
@@ -609,7 +649,7 @@ mod tests {
         let before = sibia_obs::registry()
             .counter("sbr.kernels.swar.counts")
             .get();
-        let _ = ops.zero_digit_count(&[1, 0, 2]);
+        let _ = ops.plane_counts(&[1, 0, 2], 4);
         let after = sibia_obs::registry()
             .counter("sbr.kernels.swar.counts")
             .get();

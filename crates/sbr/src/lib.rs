@@ -37,7 +37,6 @@ pub mod error;
 pub mod fixed;
 pub mod gsbr;
 pub mod kernels;
-pub mod packed;
 pub mod precision;
 pub mod quant;
 pub mod sbr;
@@ -48,7 +47,6 @@ pub use conv::ConvSlices;
 pub use encoder::SbrUnit;
 pub use error::RangeError;
 pub use fixed::Fixed;
-pub use packed::PackedPlane;
 pub use precision::Precision;
 pub use quant::Quantizer;
 pub use sbr::SbrSlices;

@@ -10,7 +10,8 @@
 //!   skip).
 //!
 //! Statistics are reported per slice order and overall, at both slice and
-//! sub-word granularity.
+//! sub-word granularity. Both zero counts come from the active tier's
+//! one-pass [`crate::kernels::KernelOps::plane_counts`].
 
 use std::fmt;
 
@@ -145,7 +146,8 @@ fn zero_fraction(plane: &[i8]) -> f64 {
     if plane.is_empty() {
         return 0.0;
     }
-    crate::packed::zero_digit_count(plane) as f64 / plane.len() as f64
+    // The RLE index width (4, the DMU's) does not affect the zero counts.
+    crate::kernels::active().plane_counts(plane, 4).zero_digits as f64 / plane.len() as f64
 }
 
 fn zero_fraction_i32(values: &[i32]) -> f64 {

@@ -76,14 +76,16 @@ pub fn to_subwords(plane: &[i8]) -> Vec<SubWord> {
 /// Fraction of zero sub-words in a plane — the skippable fraction at
 /// sub-word granularity (always ≤ the per-slice zero fraction).
 ///
-/// Counts with the branch-free byte-SWAR kernel in [`crate::packed`]
-/// rather than materialising a `Vec<SubWord>`.
+/// Counts with the active tier's one-pass
+/// [`crate::kernels::KernelOps::plane_counts`] rather than materialising a
+/// `Vec<SubWord>`.
 pub fn zero_subword_fraction(plane: &[i8]) -> f64 {
     if plane.is_empty() {
         return 0.0;
     }
-    let groups = plane.len().div_ceil(SUBWORD_LANES);
-    crate::packed::zero_subword_count_unpacked(plane) as f64 / groups as f64
+    // The RLE index width (4, the DMU's) does not affect the zero counts.
+    let c = crate::kernels::active().plane_counts(plane, 4);
+    c.zero_subwords as f64 / c.subwords as f64
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! The dispatch table may change which instructions run, never what they
 //! compute: these tests sweep every i8 digit value, awkward plane lengths
 //! (empty, sub-lane, exact-lane, lane±1, non-multiples of 16/32/64),
-//! all-zero and all--8 planes, and dense/sparse LCG planes through every
-//! tier the host supports, for all count kernels, packing, RLE widths, and
-//! both decompositions at every precision.
+//! all-zero and all--8 planes, the SWAR carry-trick borrow patterns, and
+//! dense/sparse LCG planes through every tier the host supports, for the
+//! plane-count kernel at every RLE width and both decompositions at every
+//! precision.
 
 use sibia_sbr::kernels::{ops_for, KernelOps, KernelTier};
 use sibia_sbr::{ConvSlices, Precision, SbrSlices};
@@ -43,6 +44,17 @@ fn digit_planes() -> Vec<Vec<i8>> {
         (i8::MIN..=i8::MAX).collect(), // every i8 digit value
         vec![1, 0, 0, 0, 0, 0, 0, 0, 5],
     ];
+    // [0x00, 0x01] adjacencies defeat the naive `x - 0x01..` zero-byte
+    // trick; the SWAR tier's carry-based mask must not. Nine repeats (72
+    // digits) reach its 64-digit mask, not just the remainder loop.
+    for pattern in [
+        [0i8, 1, 0, 1, 0, 1, 0, 1],
+        [1, 0, 1, 0, 1, 0, 1, 0],
+        [0, 0, 0, 0, 1, 1, 1, 1],
+        [-128, 0, 127, 0, -1, 0, 1, 0],
+    ] {
+        planes.push(pattern.repeat(9));
+    }
     for len in LENGTHS {
         planes.push(vec![0i8; len]);
         planes.push(vec![-8i8; len]); // the 1000₂ nibble pattern
@@ -70,80 +82,12 @@ fn digit_planes() -> Vec<Vec<i8>> {
 fn all_tiers_count_planes_identically() {
     let reference = scalar();
     for plane in digit_planes() {
-        let zd = reference.zero_digit_count(&plane);
-        let zs = reference.zero_subword_count(&plane);
         for ops in tiers() {
-            assert_eq!(
-                ops.zero_digit_count(&plane),
-                zd,
-                "{} zero_digit_count, len {}",
-                ops.tier,
-                plane.len()
-            );
-            assert_eq!(
-                ops.zero_subword_count(&plane),
-                zs,
-                "{} zero_subword_count, len {}",
-                ops.tier,
-                plane.len()
-            );
             for bits in INDEX_BITS {
                 assert_eq!(
                     ops.plane_counts(&plane, bits),
                     reference.plane_counts(&plane, bits),
                     "{} plane_counts, len {}, index_bits {bits}",
-                    ops.tier,
-                    plane.len()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn all_tiers_pack_identically() {
-    let reference = scalar();
-    for plane in digit_planes() {
-        let n_words = plane.len().div_ceil(16);
-        let mut expected = vec![0u64; n_words];
-        reference.pack_words(&plane, &mut expected);
-        for ops in tiers() {
-            let mut words = vec![0u64; n_words];
-            ops.pack_words(&plane, &mut words);
-            assert_eq!(words, expected, "{} pack, len {}", ops.tier, plane.len());
-        }
-    }
-}
-
-#[test]
-fn all_tiers_count_packed_words_identically() {
-    let reference = scalar();
-    for plane in digit_planes() {
-        let subwords = plane.len().div_ceil(4);
-        let mut words = vec![0u64; plane.len().div_ceil(16)];
-        reference.pack_words(&plane, &mut words);
-        let slices = reference.nonzero_slice_count_words(&words);
-        let subs = reference.nonzero_subword_count_words(&words);
-        for ops in tiers() {
-            assert_eq!(
-                ops.nonzero_slice_count_words(&words),
-                slices,
-                "{} slice count, len {}",
-                ops.tier,
-                plane.len()
-            );
-            assert_eq!(
-                ops.nonzero_subword_count_words(&words),
-                subs,
-                "{} subword count, len {}",
-                ops.tier,
-                plane.len()
-            );
-            for bits in INDEX_BITS {
-                assert_eq!(
-                    ops.rle_entry_count_words(&words, subwords, bits),
-                    reference.rle_entry_count_words(&words, subwords, bits),
-                    "{} rle count, len {}, index_bits {bits}",
                     ops.tier,
                     plane.len()
                 );

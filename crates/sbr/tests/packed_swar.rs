@@ -1,18 +1,25 @@
-//! Property tests pinning the SWAR kernels in `sbr::packed` to independent
+//! Property tests pinning the one-pass plane-count kernel
+//! (`KernelOps::plane_counts`) on every supported tier to independent
 //! scalar per-`i8` references.
 //!
-//! The packed plane answers three questions — zero slices, zero sub-words,
-//! RLE entry count — with branch-free word arithmetic; the simulator's
-//! sparsity accounting is only correct if those answers are *exactly* the
-//! scalar definitions. Each property below recomputes the count the slow,
-//! obvious way from the raw digit plane and demands equality, over random
-//! planes in the full packable digit range `[-8, 15]` plus the adversarial
-//! uniform planes (all-zero, all `-8` — the digit whose nibble pattern
-//! `1000` has no set low bits beyond bit 3).
+//! The kernel answers three questions — zero slices, zero sub-words, RLE
+//! entry count — with branch-free mask arithmetic (the SWAR byte-word carry
+//! trick, or SSE2/AVX2 compares); the simulator's sparsity accounting is
+//! only correct if those answers are *exactly* the scalar definitions. Each
+//! property below recomputes the count the slow, obvious way from the raw
+//! digit plane and demands equality on every tier, over random planes in
+//! the full digit range `[-8, 15]` plus the adversarial uniform planes
+//! (all-zero, and all `-8`, the digit whose nibble pattern `1000` has no
+//! set low bits beyond bit 3).
 
 use proptest::prelude::*;
-use sibia_sbr::packed::{zero_digit_count, zero_subword_count_unpacked, PackedPlane};
+use sibia_sbr::kernels::{ops_for, KernelOps, KernelTier};
 use sibia_sbr::subword::SUBWORD_LANES;
+
+/// Every kernel tier this host can run.
+fn tiers() -> impl Iterator<Item = &'static KernelOps> {
+    KernelTier::ALL.into_iter().filter_map(|t| ops_for(t).ok())
+}
 
 /// Scalar reference: zero digits, one `i8` at a time.
 fn ref_zero_slices(plane: &[i8]) -> usize {
@@ -53,9 +60,9 @@ fn ref_rle_entries(plane: &[i8], index_bits: u8) -> usize {
     entries
 }
 
-/// Digit planes in the packable range, weighted toward the interesting
-/// shapes: dense random, mostly-zero (long runs for the RLE path), and the
-/// two uniform edge cases from the pack-losslessness argument.
+/// Digit planes in the decompositions' range, weighted toward the
+/// interesting shapes: dense random, mostly-zero (long runs for the RLE
+/// path), and the two uniform edge cases.
 fn arb_plane() -> impl Strategy<Value = Vec<i8>> {
     prop_oneof![
         4 => prop::collection::vec(-8i8..=15, 0..600),
@@ -66,38 +73,40 @@ fn arb_plane() -> impl Strategy<Value = Vec<i8>> {
 }
 
 proptest! {
-    /// Packed zero-slice count == scalar digit-by-digit count; the two
-    /// byte-mask helpers agree too.
+    /// Zero-slice count == scalar digit-by-digit count, on every tier.
     #[test]
     fn packed_zero_slices_match_scalar(plane in arb_plane()) {
-        let packed = PackedPlane::pack(&plane);
         let expected = ref_zero_slices(&plane);
-        prop_assert_eq!(packed.len(), plane.len());
-        prop_assert_eq!(packed.zero_slice_count(), expected);
-        prop_assert_eq!(packed.nonzero_slice_count(), plane.len() - expected);
-        prop_assert_eq!(zero_digit_count(&plane), expected);
+        for ops in tiers() {
+            let c = ops.plane_counts(&plane, 4);
+            prop_assert_eq!(c.len, plane.len());
+            prop_assert_eq!(c.zero_digits, expected, "{}", ops.tier);
+        }
     }
 
-    /// Packed sub-word counts == scalar group-of-four counts.
+    /// Sub-word counts == scalar group-of-four counts, on every tier.
     #[test]
     fn packed_zero_subwords_match_scalar(plane in arb_plane()) {
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(packed.subword_count(), plane.len().div_ceil(SUBWORD_LANES));
-        prop_assert_eq!(packed.zero_subword_count(), ref_zero_subwords(&plane));
-        prop_assert_eq!(zero_subword_count_unpacked(&plane), ref_zero_subwords(&plane));
+        for ops in tiers() {
+            let c = ops.plane_counts(&plane, 4);
+            prop_assert_eq!(c.subwords, plane.len().div_ceil(SUBWORD_LANES));
+            prop_assert_eq!(c.zero_subwords, ref_zero_subwords(&plane), "{}", ops.tier);
+        }
     }
 
-    /// Packed RLE entry count == the scalar run-length walk, across index
-    /// widths (narrow widths exercise run saturation, wide ones the
-    /// trailing-zero elision).
+    /// RLE entry count == the scalar run-length walk, across index widths
+    /// (narrow widths exercise run saturation, wide ones the trailing-zero
+    /// elision), on every tier.
     #[test]
     fn packed_rle_entries_match_scalar((plane, index_bits) in (arb_plane(), 1u8..=15)) {
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(
-            packed.rle_entry_count(index_bits),
-            ref_rle_entries(&plane, index_bits),
-            "index_bits={}", index_bits
-        );
+        let expected = ref_rle_entries(&plane, index_bits);
+        for ops in tiers() {
+            prop_assert_eq!(
+                ops.plane_counts(&plane, index_bits).rle_entries,
+                expected,
+                "{} index_bits={}", ops.tier, index_bits
+            );
+        }
     }
 
     /// The all-zero plane in every length: no slices, no sub-words, and no
@@ -105,13 +114,12 @@ proptest! {
     #[test]
     fn all_zero_planes_compress_to_padding_only(n in 0usize..600, index_bits in 1u8..=15) {
         let plane = vec![0i8; n];
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(packed.zero_slice_count(), n);
-        prop_assert_eq!(packed.zero_subword_count(), packed.subword_count());
-        prop_assert_eq!(
-            packed.rle_entry_count(index_bits),
-            packed.subword_count() / (1usize << index_bits)
-        );
+        for ops in tiers() {
+            let c = ops.plane_counts(&plane, index_bits);
+            prop_assert_eq!(c.zero_digits, n);
+            prop_assert_eq!(c.zero_subwords, c.subwords);
+            prop_assert_eq!(c.rle_entries, c.subwords / (1usize << index_bits), "{}", ops.tier);
+        }
     }
 
     /// The all-`-8` plane: its nibble pattern is `1000`, so only bit 3 is
@@ -120,9 +128,11 @@ proptest! {
     #[test]
     fn all_minus_eight_planes_have_no_zero_structure(n in 1usize..600, index_bits in 1u8..=15) {
         let plane = vec![-8i8; n];
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(packed.zero_slice_count(), 0);
-        prop_assert_eq!(packed.zero_subword_count(), 0);
-        prop_assert_eq!(packed.rle_entry_count(index_bits), packed.subword_count());
+        for ops in tiers() {
+            let c = ops.plane_counts(&plane, index_bits);
+            prop_assert_eq!(c.zero_digits, 0);
+            prop_assert_eq!(c.zero_subwords, 0);
+            prop_assert_eq!(c.rle_entries, c.subwords, "{}", ops.tier);
+        }
     }
 }

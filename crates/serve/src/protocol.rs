@@ -99,9 +99,8 @@
 
 use crate::json::Json;
 use sibia_obs::TraceContext;
-use sibia_sbr::packed::PackedPlane;
 use sibia_sbr::{gsbr::GenSlices, Precision};
-use sibia_sim::cache::DMU_INDEX_BITS;
+use sibia_sim::cache::PlaneStats;
 use sibia_sim::ArchSpec;
 
 // The canonical result serializers moved down into `sibia_sim::jsonio` so
@@ -603,16 +602,13 @@ fn plane_stats_json(planes: &[Vec<i8>]) -> Json {
         planes
             .iter()
             .map(|p| {
-                let packed = PackedPlane::pack(p);
+                let s = PlaneStats::measure_plane(p);
                 Json::obj(vec![
-                    ("len", Json::from(packed.len())),
-                    ("zero_slices", Json::from(packed.zero_slice_count())),
-                    ("subwords", Json::from(packed.subword_count())),
-                    ("zero_subwords", Json::from(packed.zero_subword_count())),
-                    (
-                        "rle_entries",
-                        Json::from(packed.rle_entry_count(DMU_INDEX_BITS)),
-                    ),
+                    ("len", Json::from(s.len)),
+                    ("zero_slices", Json::from(s.zero_slices)),
+                    ("subwords", Json::from(s.subwords)),
+                    ("zero_subwords", Json::from(s.zero_subwords)),
+                    ("rle_entries", Json::from(s.rle_entries)),
                 ])
             })
             .collect(),
@@ -874,6 +870,25 @@ mod tests {
         assert_eq!(sbr[0].get("zero_slices"), Some(&Json::Int(0)));
         assert!(r.get("gsbr").is_some());
         assert!(encode_stats(&[1000], 7, None).is_err());
+
+        // 70 leading zeros (a zero-sub-word run longer than the 4-bit RLE
+        // index, 2⁴ sub-words) and a 77-value total (a partial tail
+        // sub-word); the response bytes are pinned whole.
+        let mut values = vec![0i32; 70];
+        values.extend([-3, 5, 63, -63, 0, 1, -8]);
+        let r = encode_stats(&values, 7, Some(3)).unwrap();
+        assert_eq!(
+            r.to_string(),
+            concat!(
+                r#"{"values":77,"bits":7,"full_zero_values":71,"sbr":["#,
+                r#"{"len":77,"zero_slices":72,"subwords":20,"zero_subwords":18,"rle_entries":3},"#,
+                r#"{"len":77,"zero_slices":74,"subwords":20,"zero_subwords":18,"rle_entries":3}],"#,
+                r#""conventional":["#,
+                r#"{"len":77,"zero_slices":71,"subwords":20,"zero_subwords":17,"rle_entries":4},"#,
+                r#"{"len":77,"zero_slices":73,"subwords":20,"zero_subwords":17,"rle_entries":4}],"#,
+                r#""gsbr":{"width":3,"orders":3,"zero_digits":[72,73,75]}}"#,
+            )
+        );
     }
 
     #[test]

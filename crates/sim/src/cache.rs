@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use sibia_nn::Layer;
-use sibia_sbr::packed::PackedPlane;
 
 use crate::spec::Repr;
 
@@ -61,20 +60,7 @@ pub struct PlaneStats {
 }
 
 impl PlaneStats {
-    /// Measures a packed plane.
-    pub fn measure(plane: &PackedPlane) -> Self {
-        Self {
-            len: plane.len(),
-            zero_slices: plane.zero_slice_count(),
-            subwords: plane.subword_count(),
-            zero_subwords: plane.zero_subword_count(),
-            rle_entries: plane.rle_entry_count(DMU_INDEX_BITS),
-        }
-    }
-
-    /// Measures an unpacked digit plane in one pass through the active
-    /// kernel tier — same counts as [`Self::measure`] (pinned by tests)
-    /// without materialising a [`PackedPlane`].
+    /// Measures a digit plane in one pass through the active kernel tier.
     pub fn measure_plane(plane: &[i8]) -> Self {
         let c = sibia_sbr::kernels::active().plane_counts(plane, DMU_INDEX_BITS);
         Self {
@@ -476,23 +462,6 @@ mod tests {
                 assert_eq!(s.subwords, sw.len());
                 assert_eq!(s.zero_subwords, sw.iter().filter(|w| w.is_zero()).count());
                 assert_eq!(s.zero_subword_fraction(), zero_subword_fraction(p));
-            }
-        }
-    }
-
-    #[test]
-    fn measure_plane_matches_packed_measure() {
-        let values: Vec<i32> = (-63..=63).chain([0; 130]).collect();
-        for repr in [Repr::Sbr, Repr::Conventional] {
-            let planes = match repr {
-                Repr::Sbr => sibia_sbr::sbr::planes(&values, Precision::BITS7),
-                Repr::Conventional => sibia_sbr::conv::planes(&values, Precision::BITS7),
-            };
-            for p in &planes {
-                assert_eq!(
-                    PlaneStats::measure_plane(p),
-                    PlaneStats::measure(&PackedPlane::pack(p))
-                );
             }
         }
     }

@@ -27,11 +27,13 @@ git diff --exit-code -- results/ \
 echo "==> kernel tier forcing"
 # The workspace run above exercises native dispatch (the best tier the
 # machine supports). Re-run the kernel-sensitive suites pinned to the
-# portable SWAR tier so cross-tier byte-identity is checked even on hosts
-# where AVX2/SSE2 would otherwise mask a SWAR regression, and confirm an
+# portable SWAR tier so cross-tier byte-identity (including the pinned
+# `encode` reply bytes) is checked even on hosts where AVX2/SSE2 would
+# otherwise mask a SWAR regression, and confirm an
 # unknown tier is a typed error, not a silent fallback.
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sbr
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sim --test parallel
+SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-serve --lib
 if SIBIA_FORCE_KERNEL=nonsense ./target/release/sibia-cli networks 2>/dev/null; then
   echo "unknown kernel tier was silently accepted"; exit 1
 fi
